@@ -307,7 +307,7 @@ impl Checkpointer {
         if meta.version > active.snapshot_version {
             return Ok(()); // already updated since begin ⇒ old copy exists
         }
-        if meta.old.is_some() {
+        if meta.has_old {
             return Ok(());
         }
         storage.cou_save_old(sid, sync_meter)?;
@@ -759,7 +759,7 @@ impl Checkpointer {
         let (version, words, image_max_lsn) = {
             let cap = storage.capture(sid)?;
             self.meter.io_op();
-            self.flush_observed(backup, copy, sid, cap.data)?;
+            self.flush_observed(backup, copy, sid, &cap.data)?;
             (cap.version, cap.data.len() as u64, cap.max_lsn)
         };
         storage.mark_flushed(sid, copy, version)?;
@@ -795,7 +795,7 @@ impl Checkpointer {
             self.meter.move_words(cap.data.len() as u64);
             PendingFlush {
                 sid,
-                data: cap.data.into(),
+                data: cap.data,
                 version: cap.version,
                 gate: cap.max_lsn,
             }
@@ -825,7 +825,7 @@ impl Checkpointer {
         }
         self.meter.lock_op(); // lock (shared)
         let lock_t = self.obs.timer();
-        let gate = storage.capture(sid)?.max_lsn;
+        let gate = storage.segment_meta(sid)?.max_lsn;
         self.meter.lsn_op();
         let open = log.is_durable(gate);
         let probe_durable = log.durable_lsn();
@@ -851,7 +851,7 @@ impl Checkpointer {
         let (version, words) = {
             let cap = storage.capture(sid)?;
             self.meter.io_op();
-            self.flush_observed(backup, copy, sid, cap.data)?;
+            self.flush_observed(backup, copy, sid, &cap.data)?;
             (cap.version, cap.data.len() as u64)
         };
         storage.mark_flushed(sid, copy, version)?;
@@ -896,7 +896,7 @@ impl Checkpointer {
             self.meter.move_words(cap.data.len() as u64);
             PendingFlush {
                 sid,
-                data: cap.data.into(),
+                data: cap.data,
                 version: cap.version,
                 gate: cap.max_lsn,
             }
@@ -1003,7 +1003,7 @@ impl Checkpointer {
                 let (version, words, image_max_lsn) = {
                     let cap = storage.capture(sid)?;
                     self.meter.io_op();
-                    self.flush_observed(backup, copy, sid, cap.data)?;
+                    self.flush_observed(backup, copy, sid, &cap.data)?;
                     (cap.version, cap.data.len() as u64, cap.max_lsn)
                 };
                 storage.mark_flushed(sid, copy, version)?;
@@ -1027,7 +1027,7 @@ impl Checkpointer {
                     let cap = storage.capture(sid)?;
                     self.meter.alloc_op();
                     self.meter.move_words(cap.data.len() as u64);
-                    (cap.data.into(), cap.version, cap.max_lsn)
+                    (cap.data, cap.version, cap.max_lsn)
                 };
                 self.meter.lock_op(); // unlock
                 self.obs.observe_timer("ckpt.lock_hold_ns", lock_t);
@@ -1058,7 +1058,7 @@ impl Checkpointer {
                     self.meter.move_words(cap.data.len() as u64);
                     PendingFlush {
                         sid,
-                        data: cap.data.into(),
+                        data: cap.data,
                         version: cap.version,
                         gate: cap.max_lsn,
                     }

@@ -9,7 +9,7 @@ use mmdb_disk::{summarize, AuditedBackup, BackupStore, FileBackup, MemBackup, Ob
 use mmdb_log::{LogManager, LogRecord, LogStats, MemLogDevice, SegmentedLogDevice};
 use mmdb_obs::{MetricsSnapshot, Obs, PaperOverhead, SpanRecord, Timer};
 use mmdb_recovery::RecoveryReport;
-use mmdb_storage::{Color, PendingInstall, ReadMirror, Storage};
+use mmdb_storage::{Color, SeqWords, Storage};
 use mmdb_sync::{LockRank, RankedMutex};
 use mmdb_txn::{SeenColor, TxnStats, TxnTable};
 use mmdb_types::{
@@ -479,7 +479,7 @@ impl Mmdb {
     pub fn for_each_record(&self, mut f: impl FnMut(RecordId, &[Word])) -> Result<()> {
         self.ensure_alive()?;
         for rid in 0..self.storage.n_records() {
-            f(RecordId(rid), self.storage.read_record(RecordId(rid))?);
+            f(RecordId(rid), &self.storage.read_record(RecordId(rid))?);
         }
         Ok(())
     }
@@ -554,7 +554,7 @@ impl Mmdb {
         if let Some(w) = t.writes.iter().rev().find(|w| w.record == rid) {
             return Ok(w.value.clone());
         }
-        Ok(self.storage.read_record(rid)?.to_vec())
+        self.storage.read_record(rid)
     }
 
     /// Stages a write within a transaction (shadow-copy scheme: nothing
@@ -1064,16 +1064,10 @@ impl Mmdb {
     /// [`Mmdb::recover`] to come back.
     pub fn crash(&mut self) -> Result<()> {
         self.audit.emit(|| AuditEvent::Crash);
-        // Take the read mirror out of service first: from here until
-        // recovery republishes, lock-free readers must fail over to the
-        // locked path (which reports the crash properly). Queued
-        // shared-mode installs are discarded — they are logged, and
-        // recovery replays them.
-        let mirror = self.storage.mirror();
-        if !mirror.gate_closed() {
-            mirror.gate_close();
-        }
-        mirror.take_pending();
+        // Take the storage out of service for lock-free readers first:
+        // from here until recovery reopens the gate, they fail over to
+        // the locked path (which reports the crash properly).
+        self.storage.close_gate();
         self.log.get_mut().crash()?;
         self.txns.get_mut().crash();
         self.prepared_installs.clear();
@@ -1096,17 +1090,13 @@ impl Mmdb {
     }
 
     fn recover_internal(&mut self) -> Result<RecoveryReport> {
-        // Keep the pre-crash mirror `Arc` alive across the storage swap,
-        // so lock-free readers holding a handle keep working after
-        // recovery. The gate stays closed (readers fail over to the
-        // locked path) until the rebuilt content is republished below.
-        // `open_dir` reaches here without a crash(); close the gate then.
-        let old_mirror = self.storage.mirror().clone();
-        if !old_mirror.gate_closed() {
-            old_mirror.gate_close();
-        }
-        self.storage = Storage::new(self.config.params.db)?;
-        self.storage.adopt_mirror(old_mirror)?;
+        // Rebuild in place, behind the closed gate: readers holding the
+        // read handle fail over to the locked path until the content is
+        // back in service below. `open_dir` reaches here without a
+        // crash(); the gate closes then. Recovery loads every segment of
+        // the backup over the old words, so only the metadata is reset.
+        self.storage.close_gate();
+        self.storage.reset_meta();
         let copies = if self.audit.is_enabled() {
             Some([
                 summarize(self.backup.copy_status(0)?),
@@ -1166,12 +1156,7 @@ impl Mmdb {
         self.replay_floor = [None, None];
         self.replay_floor[report.copy & 1] = Some(report.replay_start);
         self.crashed = false;
-        // Recovery rebuilt the authoritative copy record by record; the
-        // mirror saw every install with the gate closed. Republish
-        // wholesale (belt and braces — e.g. restore may shrink content)
-        // and put the mirror back in service.
         self.storage.republish_all();
-        self.storage.mirror().gate_open();
         Ok(report)
     }
 
@@ -1179,28 +1164,18 @@ impl Mmdb {
     /// tooling aid — a real client should use a transaction).
     pub fn read_committed(&self, rid: RecordId) -> Result<Vec<Word>> {
         self.ensure_alive()?;
-        Ok(self.storage.read_record(rid)?.to_vec())
+        self.storage.read_record(rid)
     }
 
     // ----- intra-shard concurrency (shared-mode paths) ---------------------
 
-    /// The storage's read mirror: a seqlock-protected copy of every
-    /// record, readable without any engine lock. Clone the `Arc` once
-    /// and keep it — the handle stays valid across crash and recovery
-    /// (the gate closes while the content is rebuilt, so stale reads
-    /// fail over to the locked path).
-    pub fn read_mirror(&self) -> Arc<ReadMirror> {
-        self.storage.mirror().clone()
-    }
-
-    /// Copies queued shared-mode installs back into the authoritative
-    /// segments (see [`mmdb_storage::Storage::sync_pending`]). The
-    /// sharded engine calls this on every exclusive acquisition, so the
-    /// checkpointer, recovery, 2PC and quiesce always see fully-synced
-    /// segment data and metadata. Returns the number of installs
-    /// applied.
-    pub fn sync_pending(&mut self) -> u64 {
-        self.storage.sync_pending()
+    /// The lock-free read handle: the storage's seqlocked record words,
+    /// readable without any engine lock. Clone the `Arc` once and keep
+    /// it — recovery rebuilds the storage in place, so the handle stays
+    /// valid across crash and recovery (the gate closes while the content
+    /// is rebuilt, so stale reads fail over to the locked path).
+    pub fn read_handle(&self) -> Arc<SeqWords> {
+        self.storage.read_handle().clone()
     }
 
     /// Commits a whole single-shard transaction from **shared** engine
@@ -1222,12 +1197,15 @@ impl Mmdb {
     /// (descending lock rank — deadlock-free by construction), append
     /// begin/updates/commit *contiguously* under the interior log lock
     /// (the pipeline's single serial point: WAL order is decided here,
-    /// and the log reads exactly like a serial execution), install into
-    /// the read mirror plus the pending-sync queue while still latched,
-    /// then finish in the transaction table. Durability matches the
-    /// exclusive path: `Force` forces inside the append; `Group`/`Lazy`
-    /// return immediately and the caller signals the flusher / waits on
-    /// the durable watermark *after* releasing its engine read guard.
+    /// and the log reads exactly like a serial execution), install in
+    /// place while still latched, then finish in the transaction table.
+    /// The segment version, max LSN and τ and the global version counter
+    /// are atomics, so the next exclusive holder sees every shared
+    /// commit — dirty tracking and the WAL gate need no drain step.
+    /// Durability matches the exclusive path: `Force` forces inside the
+    /// append; `Group`/`Lazy` return immediately and the caller signals
+    /// the flusher / waits on the durable watermark *after* releasing its
+    /// engine read guard.
     pub fn try_commit_shared<V: AsRef<[Word]>>(
         &self,
         updates: &[(RecordId, V)],
@@ -1290,18 +1268,12 @@ impl Mmdb {
         self.last_commit_lsn
             .fetch_max(commit_lsn.raw(), Ordering::SeqCst);
 
-        // Install into the mirror while still latched (the latch is what
-        // serializes publishes per record); the authoritative segments
-        // catch up at the next exclusive acquisition via `sync_pending`.
-        let mirror = self.storage.mirror();
+        // Install in place while still latched (the latch is what
+        // serializes writers per segment). The updates were validated
+        // above, so the install cannot fail.
         for ((rid, value), end_lsn) in updates.iter().zip(install_lsns) {
-            mirror.publish(*rid, value.as_ref());
-            mirror.note_pending(PendingInstall {
-                rid: *rid,
-                tau,
-                lsn: end_lsn,
-            });
-            self.meters.base.move_words(s_rec as u64);
+            self.storage
+                .install_record(*rid, value.as_ref(), end_lsn, tau, &self.meters.base)?;
             if gating {
                 self.meters.sync_ckpt.lsn_op();
             }
@@ -1530,5 +1502,56 @@ impl Mmdb {
         let mut engine = Self::assemble(config, storage, log, backup, meters);
         let report = engine.recover_internal()?;
         Ok((engine, report))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmdb_types::Algorithm;
+
+    /// A shared commit installs in place: right after it, the exclusive
+    /// path sees its data, version (dirty for both ping-pong copies), max
+    /// LSN and τ exactly as an exclusive commit of the same transactions
+    /// leaves them, and the next partial checkpoint flushes exactly the
+    /// touched segments — with no drain step in between.
+    #[test]
+    fn shared_commits_match_exclusive_commits_without_a_drain() {
+        let engine = || {
+            let mut db = Mmdb::open_in_memory(MmdbConfig::small(Algorithm::FuzzyCopy)).unwrap();
+            db.checkpoint().unwrap();
+            db.checkpoint().unwrap(); // both copies complete, all clean
+            db
+        };
+        let (mut shared, mut exclusive) = (engine(), engine());
+        // Segments 0, 1 and 3 (64 records per segment), record 3 twice.
+        for txn in [&[(3, 11), (70, 12)][..], &[(5, 13)], &[(200, 14), (3, 15)]] {
+            let ups: Vec<_> = txn
+                .iter()
+                .map(|&(r, v)| (RecordId(r), vec![v; 32]))
+                .collect();
+            shared
+                .try_commit_shared(&ups)
+                .unwrap()
+                .expect("shared path");
+            exclusive.run_txn(&ups).unwrap();
+        }
+        assert_eq!(shared.read_committed(RecordId(3)).unwrap(), vec![15; 32]);
+        assert_eq!(shared.fingerprint(), exclusive.fingerprint());
+        let (s, x) = (&shared.storage, &exclusive.storage);
+        assert_eq!(s.current_version(), x.current_version());
+        let touched = [SegmentId(0), SegmentId(1), SegmentId(3)];
+        for sid in s.segment_ids() {
+            let meta = s.segment_meta(sid).unwrap();
+            assert_eq!(meta, x.segment_meta(sid).unwrap(), "{sid}");
+            let dirty = touched.contains(&sid);
+            assert_eq!(s.is_dirty(sid, 0).unwrap(), dirty, "{sid}");
+            assert_eq!(s.is_dirty(sid, 1).unwrap(), dirty, "{sid}");
+            assert_eq!(meta.max_lsn > Lsn::ZERO, dirty, "{sid}");
+            assert_eq!(meta.tau > Timestamp::ZERO, dirty, "{sid}");
+        }
+        let report = shared.checkpoint().unwrap();
+        assert_eq!(report.segments_flushed, touched.len() as u64);
+        assert_eq!(report, exclusive.checkpoint().unwrap());
     }
 }

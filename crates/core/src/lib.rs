@@ -57,7 +57,7 @@ pub use mmdb_obs::{
 };
 pub use mmdb_recovery::RecoveryReport;
 pub use mmdb_rescale::{CompactOptions, CompactReport};
-pub use mmdb_storage::{PendingInstall, ReadMirror};
+pub use mmdb_storage::SeqWords;
 pub use mmdb_types::{
     Algorithm, CkptMode, LogMode, Lsn, MmdbError, Params, RecordId, Result, TxnId,
 };

@@ -380,6 +380,32 @@ mod tests {
         assert_eq!(back, doc);
     }
 
+    /// The parser scans strings in linear time: a multi-megabyte dump of
+    /// long labels with multi-byte characters and escapes round-trips
+    /// well inside a generous bound even in a debug build (a quadratic
+    /// scan takes minutes on this input).
+    #[test]
+    fn multi_megabyte_dump_round_trips_quickly() {
+        let label = format!("shard 3 \"batch\" → {}", "ü-record-range ".repeat(12));
+        let mut doc = sample_doc();
+        doc.recent = (0..20_000u64)
+            .map(|i| DumpSpan {
+                label: format!("{label}{i}"),
+                trace_id: i,
+                ..doc.recent[0].clone()
+            })
+            .collect();
+        let text = doc.to_json();
+        assert!(text.len() >= 4 << 20, "dump is only {} bytes", text.len());
+        let t = std::time::Instant::now();
+        assert_eq!(TraceDumpDoc::from_json(&text).expect("parse back"), doc);
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(20),
+            "{:?}",
+            t.elapsed()
+        );
+    }
+
     #[test]
     fn from_json_rejects_wrong_schema() {
         assert!(TraceDumpDoc::from_json("{\"schema\":\"mmdb-trace/v9\"}").is_err());

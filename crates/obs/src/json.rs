@@ -361,18 +361,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe via chars()).
+                    // Consume the whole run of plain bytes at once, so the
+                    // scan stays linear. The run ends at an ASCII byte (or
+                    // the end of input), and the input is a &str, so it
+                    // ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    match s.chars().next() {
-                        Some(c) if (c as u32) >= 0x20 => {
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        _ => return Err(self.err("unescaped control character")),
-                    }
+                    let run = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }

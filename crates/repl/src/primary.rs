@@ -121,7 +121,7 @@ pub fn serve_pull(
 
 /// Serves one `ReplScan`: walks record ids from `from`, collecting the
 /// shard's nonzero committed values until the record or id cap is hit.
-/// Reads go through the lock-free mirror path, so a scan never blocks
+/// Reads go through the lock-free read path, so a scan never blocks
 /// writers or the checkpointer. Returns `(next, records)`: every id in
 /// `[from, next)` was covered, and ids absent from `records` are zero.
 pub fn serve_scan(

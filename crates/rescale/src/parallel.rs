@@ -28,8 +28,9 @@
 //! **Corruption fallback:** the serial path treats the first bad frame
 //! as the end of the durable log, which can change everything (a later
 //! checkpoint marker may vanish). If any deferred update checksum fails,
-//! this module throws away the partial parallel state and re-runs the
-//! serial path on a fresh storage, guaranteeing the exact serial result.
+//! this module throws away the partial parallel state — resetting the
+//! storage's metadata in place, so lock-free read handles stay valid —
+//! and re-runs the serial path, guaranteeing the exact serial result.
 
 use mmdb_disk::BackupStore;
 use mmdb_log::{FramePeek, LogDevice, LogRecord};
@@ -310,9 +311,11 @@ pub fn recover_parallel(
         // A deferred update checksum failed. The serial path would have
         // treated that frame as the end of the durable log, which can
         // change the chosen marker and the whole replay — so discard the
-        // partial parallel state and defer to the oracle entirely.
+        // partial parallel state and defer to the oracle entirely. The
+        // reset keeps the allocation: the serial path reloads every
+        // segment, and readers holding the read handle keep it.
         obs.counter("recovery.parallel_fallbacks", 1);
-        *storage = Storage::new(db)?;
+        storage.reset_meta();
         return recover_observed(storage, backup, log_device, disk, meter, obs);
     }
 

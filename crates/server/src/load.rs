@@ -887,13 +887,13 @@ impl Default for IntraSweepConfig {
 
 /// One point on the within-shard scaling curve: `threads` workers
 /// hammering a single shard in-process, with the point-read path either
-/// lock-free (seqlock mirror) or forced through the shard gate.
+/// lock-free (seqlocked segment words) or forced through the shard gate.
 #[derive(Debug, Clone)]
 pub struct IntraPoint {
     /// Operation mix: `"read"` (point reads only) or `"mixed"` (reads
     /// plus periodic single-shard commits).
     pub leg: &'static str,
-    /// Read path: `"lockfree"` (seqlock mirror) or `"locked"` (every
+    /// Read path: `"lockfree"` (seqlocked words) or `"locked"` (every
     /// read takes the shard gate — the single-mutex baseline).
     pub mode: &'static str,
     /// Concurrent worker threads.

@@ -59,7 +59,7 @@
 use mmdb_audit::{Audit, AuditEvent, AuditViolation};
 use mmdb_core::{
     CheckpointStart, CkptReport, CommitDurability, CompactReport, DurableWatermark, LogMode, Mmdb,
-    MmdbConfig, ReadMirror, RecoveryReport, ShipTap, StepOutcome, TxnRun, DEFAULT_TAP_WINDOW_BYTES,
+    MmdbConfig, RecoveryReport, SeqWords, ShipTap, StepOutcome, TxnRun, DEFAULT_TAP_WINDOW_BYTES,
 };
 use mmdb_obs::{to_prometheus_sharded, MetricsSnapshot, Obs};
 use mmdb_sync::{
@@ -155,15 +155,12 @@ struct ShardCore {
 
 impl ShardCore {
     /// Exclusive access to shard `i` — the single choke point every
-    /// `&mut Mmdb` path funnels through. Queued shared-mode installs are
-    /// copied back into the authoritative segments *here*, so exclusive
-    /// holders (checkpointer, recovery, 2PC, fsck) always see
-    /// fully-synced segment data and metadata.
+    /// `&mut Mmdb` path funnels through. Shared-mode commits install in
+    /// place, so exclusive holders (checkpointer, recovery, 2PC, fsck)
+    /// see their data and metadata without any catch-up step.
     #[track_caller]
     fn lock(&self, i: usize) -> RankedRwWriteGuard<'_, Mmdb> {
-        let mut g = self.shards[i].lock();
-        g.sync_pending();
-        g
+        self.shards[i].lock()
     }
 
     /// Shared access to shard `i` (concurrent single-shard committers).
@@ -281,7 +278,7 @@ const GROUP_ACCUMULATION_WINDOW: Duration = Duration::from_micros(200);
 /// Optimistic-read retry budget before a point read falls back to the
 /// exclusive-locked path. A failed attempt means a writer was mid-copy
 /// on that exact record (nanoseconds) or crash/recovery closed the
-/// mirror gate (the fallback path then reports the real state).
+/// read gate (the fallback path then reports the real state).
 const LOCKFREE_READ_RETRIES: usize = 8;
 
 /// One shard's group-commit log flusher: park on the doorbell, force the
@@ -423,13 +420,14 @@ impl ReplGate {
 /// commit. All methods take `&self`; locking is internal and per-shard.
 pub struct ShardedMmdb {
     core: Arc<ShardCore>,
-    /// Each shard's seqlock read mirror (cloned from its engine at
-    /// construction): point reads consult it without touching the shard
-    /// gate at all. The handle stays valid across crash and recovery —
-    /// the mirror gate closes while content is rebuilt, failing reads
-    /// over to the locked path.
-    mirrors: Vec<Arc<ReadMirror>>,
-    /// When false, point reads skip the mirror and take the shard gate —
+    /// Each shard's lock-free read handle — its seqlocked record words,
+    /// cloned from the engine at construction: point reads consult it
+    /// without touching the shard gate at all. Recovery rebuilds the
+    /// storage in place, so the handle stays valid across crash and
+    /// recovery — its gate closes while content is rebuilt, failing
+    /// reads over to the locked path.
+    read_handles: Vec<Arc<SeqWords>>,
+    /// When false, point reads skip the read handle and take the shard gate —
     /// the forced-locked baseline the intra-shard bench sweeps against.
     lockfree_reads: AtomicBool,
     /// Each shard's durable-LSN watermark (cloned from its log at
@@ -581,7 +579,7 @@ impl ShardedMmdb {
             && config.params.log_mode == LogMode::VolatileTail;
         let watermarks: Vec<Arc<DurableWatermark>> =
             engines.iter().map(Mmdb::log_watermark).collect();
-        let mirrors: Vec<Arc<ReadMirror>> = engines.iter().map(Mmdb::read_mirror).collect();
+        let read_handles: Vec<Arc<SeqWords>> = engines.iter().map(Mmdb::read_handle).collect();
         let n = engines.len();
         let core = Arc::new(ShardCore {
             shards: engines
@@ -615,7 +613,7 @@ impl ShardedMmdb {
             repl: ReplGate::new(n),
             taps: OnceLock::new(),
             core,
-            mirrors,
+            read_handles,
             lockfree_reads: AtomicBool::new(true),
             watermarks,
             group,
@@ -748,7 +746,7 @@ impl ShardedMmdb {
 
     /// Takes shard `i`'s gate **shared** — the concurrent single-shard
     /// commit path. Shared holders coexist with each other (and with
-    /// lock-free mirror readers, which take nothing at all) but exclude
+    /// lock-free readers, which take nothing at all) but exclude
     /// every `&mut` path.
     #[track_caller]
     fn read_shard(&self, i: usize) -> RankedRwReadGuard<'_, Mmdb> {
@@ -874,21 +872,21 @@ impl ShardedMmdb {
 
     /// Reads a record's last committed value (no transaction).
     ///
-    /// The hot path is **lock-free**: the shard's seqlock read mirror is
-    /// consulted without taking the shard gate, retrying a handful of
+    /// The hot path is **lock-free**: the shard's seqlocked record words
+    /// are read without taking the shard gate, retrying a handful of
     /// times if a concurrent writer (or the crash/recovery gate)
     /// interferes, then failing over to the exclusive-locked read. The
-    /// mirror only ever holds committed values, so the result is exactly
+    /// words only ever hold committed values, so the result is exactly
     /// what the locked path would have returned at some instant during
     /// the call — the same linearizability contract the mutex gave.
     pub fn read_committed(&self, rid: RecordId) -> Result<Vec<Word>> {
         let shard = self.shard_of(rid)?;
         let local = self.local_rid(rid);
         if self.lockfree_reads.load(Ordering::Relaxed) {
-            let mirror = &self.mirrors[shard];
+            let words = &self.read_handles[shard];
             let mut out = vec![0; self.record_words];
             for _ in 0..LOCKFREE_READ_RETRIES {
-                if mirror.try_read(local, &mut out) {
+                if words.try_read(local, &mut out) {
                     self.obs.counter("router.reads_lockfree", 1);
                     return Ok(out);
                 }
@@ -2002,5 +2000,99 @@ mod tests {
             run(false),
             "telemetry and tracing must be invisible to engine state"
         );
+    }
+
+    /// Recovery rebuilds each shard's storage in place, so the router's
+    /// read handle survives crash and recovery — including the
+    /// parallel-recovery fallback, which a corrupted update payload
+    /// forces with 2 workers (with 1 worker the serial path stops at the
+    /// bad frame). While the gate is closed no pre-crash value is served;
+    /// afterwards the handle serves the recovered values lock-free.
+    #[test]
+    fn read_handle_survives_recovery_and_its_parallel_fallback() {
+        for workers in [1usize, 2] {
+            let dir = tmpdir(&format!("fallback-{workers}"));
+            let mut config = cfg();
+            config.recovery_workers = workers;
+            let (db, _) = ShardedMmdb::open_dir(config, &dir, 1).expect("open");
+            let (w, n) = (db.record_words(), 32u64);
+            // Checkpointed values recovery restores, then forced commits
+            // recovery loses once the first of their frames is corrupted.
+            for fill in [1, 2] {
+                for r in 0..n {
+                    db.run_txn(&[(RecordId(r), vec![fill; w])]).expect("txn");
+                }
+                if fill == 1 {
+                    db.checkpoint_all().expect("checkpoint");
+                }
+            }
+            assert_eq!(db.read_committed(RecordId(0)).expect("read"), vec![2; w]);
+            let (crashed, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+            let after_crash = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(|| {
+                    for r in (0..n).cycle() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let since_crash = crashed.load(Ordering::SeqCst);
+                        let value = db.read_committed(RecordId(r)).expect("read");
+                        if since_crash {
+                            assert_eq!(value, vec![1; w], "pre-crash value served");
+                            after_crash.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+                let fallbacks = db.with_shard(0, |e| {
+                    let start = e.log_start_lsn();
+                    let log = e.read_log_range(start, usize::MAX).expect("log bytes");
+                    let lost: Vec<u8> = std::iter::repeat_n(2u32.to_le_bytes(), w)
+                        .flatten()
+                        .collect();
+                    let at = log.windows(lost.len()).position(|win| win == lost);
+                    let victim = start.raw() as usize + at.expect("a lost value") + lost.len() / 2;
+                    e.crash().expect("crash");
+                    crashed.store(true, Ordering::SeqCst);
+                    let mut buf = vec![0; w];
+                    assert!(
+                        !e.read_handle().try_read(RecordId(0), &mut buf),
+                        "gate closed"
+                    );
+                    // Flip one after-image byte in the chunk file holding it.
+                    let (chunk_start, path) = std::fs::read_dir(dir.join("shard.0").join("log"))
+                        .expect("log dir")
+                        .filter_map(|d| {
+                            let path = d.ok()?.path();
+                            let start: usize = path.file_stem()?.to_str()?.parse().ok()?;
+                            (path.extension()? == "log" && start <= victim).then_some((start, path))
+                        })
+                        .max()
+                        .expect("chunk holding the victim");
+                    let mut bytes = std::fs::read(&path).expect("chunk");
+                    bytes[victim - chunk_start] ^= 0xff;
+                    std::fs::write(&path, bytes).expect("corrupt chunk");
+                    e.recover().expect("recover");
+                    e.metrics_snapshot().counter("recovery.parallel_fallbacks")
+                });
+                assert_eq!(fallbacks.unwrap_or(0), u64::from(workers > 1));
+                let lockfree = || db.metrics_snapshot().counter("router.reads_lockfree");
+                let before = lockfree().unwrap_or(0);
+                for r in 0..n {
+                    assert_eq!(db.read_committed(RecordId(r)).expect("read"), vec![1; w]);
+                }
+                let after = lockfree().unwrap_or(0);
+                assert!(
+                    after >= before + n,
+                    "lock-free again with {workers} workers"
+                );
+                // The reader's first read after the crash is checked too.
+                while after_crash.load(Ordering::SeqCst) == 0 && !reader.is_finished() {
+                    std::thread::yield_now();
+                }
+                stop.store(true, Ordering::SeqCst);
+                reader.join().expect("reader");
+            });
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! A single database segment and its per-segment checkpointing metadata.
 
 use mmdb_types::{Lsn, Timestamp, Word};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The two-color paint state of a segment (paper §3.2.1, after Pu).
 ///
@@ -38,8 +39,9 @@ pub struct OldCopy {
     pub max_lsn: Lsn,
 }
 
-/// Per-segment checkpointing metadata.
-#[derive(Debug, Clone, Default)]
+/// A snapshot of one segment's checkpointing metadata (see
+/// [`crate::Storage::segment_meta`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// Version of the latest installed update (0 = never updated since
     /// load). Draws from the storage-wide monotonic counter, so versions
@@ -57,22 +59,55 @@ pub struct SegmentMeta {
     pub tau: Timestamp,
     /// Two-color paint bit.
     pub color: Color,
-    /// `p(S)`: the COU old copy, if one exists.
-    pub old: Option<Box<OldCopy>>,
+    /// Whether `p(S)`, the COU old copy, exists.
+    pub has_old: bool,
 }
 
-/// A segment: fixed-size array of words plus metadata.
-#[derive(Debug)]
+/// A segment's metadata; its words live in the storage's shared
+/// [`crate::SeqWords`] array. The fields a shared-mode install changes
+/// (version, max LSN, τ) are atomics, advanced with `fetch_max` by
+/// installers that hold the segment's latch or exclusive access. They
+/// publish no other data, so `Relaxed` suffices: whoever reads them holds
+/// exclusive access, and acquiring the engine gate orders every shared
+/// install before the read.
+#[derive(Debug, Default)]
 pub(crate) struct Segment {
-    pub(crate) data: Box<[Word]>,
-    pub(crate) meta: SegmentMeta,
+    pub(crate) version: AtomicU64,
+    pub(crate) max_lsn: AtomicU64,
+    pub(crate) tau: AtomicU64,
+    pub(crate) flushed_version: [u64; 2],
+    pub(crate) color: Color,
+    pub(crate) old: Option<Box<OldCopy>>,
 }
 
 impl Segment {
-    pub(crate) fn new(words: usize) -> Segment {
-        Segment {
-            data: vec![0; words].into_boxed_slice(),
-            meta: SegmentMeta::default(),
+    /// Records one install: the fresh `version` draw, the update's LSN
+    /// and the installing transaction's timestamp.
+    pub(crate) fn note_install(&self, version: u64, lsn: Lsn, tau: Timestamp) {
+        self.version.fetch_max(version, Ordering::Relaxed);
+        self.max_lsn.fetch_max(lsn.raw(), Ordering::Relaxed);
+        self.tau.fetch_max(tau.raw(), Ordering::Relaxed);
+    }
+
+    pub(crate) fn meta(&self) -> SegmentMeta {
+        SegmentMeta {
+            version: self.version.load(Ordering::Relaxed),
+            flushed_version: self.flushed_version,
+            max_lsn: Lsn(self.max_lsn.load(Ordering::Relaxed)),
+            tau: Timestamp(self.tau.load(Ordering::Relaxed)),
+            color: self.color,
+            has_old: self.old.is_some(),
+        }
+    }
+
+    /// Resets the metadata after a whole-segment load: clean with
+    /// respect to `source_copy` at `version` (dirty for the other
+    /// ping-pong copy), or entirely fresh when there is no source copy.
+    pub(crate) fn reset(&mut self, version: u64, source_copy: Option<usize>) {
+        *self = Segment::default();
+        if let Some(copy) = source_copy {
+            *self.version.get_mut() = version;
+            self.flushed_version[copy & 1] = version;
         }
     }
 }
@@ -82,19 +117,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_color_is_black() {
+    fn new_segment_is_black_and_clean() {
         assert_eq!(Color::default(), Color::Black);
-        let s = Segment::new(8);
-        assert_eq!(s.meta.color, Color::Black);
-    }
-
-    #[test]
-    fn new_segment_is_zeroed_and_clean() {
-        let s = Segment::new(16);
-        assert!(s.data.iter().all(|&w| w == 0));
-        assert_eq!(s.meta.version, 0);
-        assert_eq!(s.meta.flushed_version, [0, 0]);
-        assert_eq!(s.meta.max_lsn, Lsn::ZERO);
-        assert!(s.meta.old.is_none());
+        assert_eq!(Segment::default().meta(), SegmentMeta::default());
     }
 }

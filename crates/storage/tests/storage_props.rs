@@ -127,7 +127,7 @@ proptest! {
     #[test]
     fn record_addressing_never_overlaps(rid_a in 0..N_RECORDS, rid_b in 0..N_RECORDS, fill in 1u32..) {
         prop_assume!(rid_a != rid_b);
-        let mut storage = Storage::new(shape()).unwrap();
+        let storage = Storage::new(shape()).unwrap();
         let meter = CostMeter::new(CostParams::default());
         storage
             .install_record(RecordId(rid_a), &[fill; 32], Lsn(1), Timestamp(1), &meter)
